@@ -2,7 +2,8 @@
 // table printing, and the stage-1 + gold plumbing every workload repeats.
 //
 // EXPLAIN3D_SCALE=<float> multiplies the default workload sizes (1.0
-// keeps every bench laptop-fast; the EXPERIMENTS.md runs used 1.0).
+// keeps every bench laptop-fast; docs/BENCHMARKS.md records the scale of
+// every JSON line).
 
 #ifndef EXPLAIN3D_BENCH_BENCH_COMMON_H_
 #define EXPLAIN3D_BENCH_BENCH_COMMON_H_

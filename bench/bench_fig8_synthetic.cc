@@ -110,7 +110,7 @@ void Sweep(const char* figure, const char* xlabel,
 }
 
 // The paper's NoOpt curve measures ONE monolithic Section-3.2 MILP given
-// to CPLEX. Our hybrid engine's assignment branch & bound does not
+// to CPLEX. Our hybrid engine's structure-exploiting solvers do not
 // degrade the same way, so the literal basic algorithm is measured
 // separately here: the whole problem encoded as one MILP and handed to
 // the branch & bound + simplex, until it stops being tractable — the

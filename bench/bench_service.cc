@@ -196,9 +196,10 @@ std::string SummaryJson(const LatencySummary& s) {
 // --- phase 4: cancellation latency ------------------------------------------
 
 // A stage-2 solve that cancellation must interrupt mid-flight: one
-// monolithic dense sub-problem through the assignment branch & bound
-// (the tests/service_test.cc MakeHardSolveRequest shape). `max_nodes`
-// is the only stopper besides the token.
+// monolithic dense one-sided (⊑) sub-problem through the assignment
+// branch & bound (the tests/service_test.cc MakeHardSolveRequest shape;
+// an ≡ unit would solve as a polynomial matching). `max_nodes` is the
+// only stopper besides the token.
 ExplanationRequest MakeHardRequest(const SyntheticDataset& data,
                                    DatabaseHandle h1, DatabaseHandle h2,
                                    size_t max_nodes) {
@@ -207,7 +208,8 @@ ExplanationRequest MakeHardRequest(const SyntheticDataset& data,
   req.db2 = h2;
   req.sql1 = data.sql1;
   req.sql2 = data.sql2;
-  req.attr_matches = data.attr_matches;
+  req.attr_matches = {AttributeMatch::Single(
+      "match_attr", "match_attr", SemanticRelation::kLessGeneral)};
   req.mapping_options.use_blocking = false;
   req.mapping_options.min_probability = 1e-12;
   req.config.num_threads = 1;

@@ -51,10 +51,14 @@ ExplanationRequest MakeRequest(const SyntheticDataset& data,
 }
 
 // A request whose stage-2 solve runs effectively forever: only the
-// cancel/deadline machinery can end it (see docs/API.md).
+// cancel/deadline machinery can end it (see docs/API.md). The match is
+// one-sided (⊑, many-to-one), the NP-hard case; an ≡ unit would solve as
+// a polynomial matching in milliseconds.
 ExplanationRequest MakeEndlessRequest(const SyntheticDataset& data,
                                       DatabaseHandle h1, DatabaseHandle h2) {
   ExplanationRequest req = MakeRequest(data, h1, h2);
+  req.attr_matches = {AttributeMatch::Single(
+      "match_attr", "match_attr", SemanticRelation::kLessGeneral)};
   req.calibration_oracle = nullptr;
   req.mapping_options.use_blocking = false;
   req.mapping_options.min_probability = 1e-12;

@@ -50,11 +50,14 @@ ExplanationRequest MakeRequest(const SyntheticDataset& data,
 }
 
 // A request whose exact stage-2 solve runs far past any interactive
-// deadline (the examples/deadlines.cpp shape): only the deadline
-// machinery — or the anytime fallback — can produce an outcome.
+// deadline (the examples/deadlines.cpp shape, one-sided ⊑ match): only
+// the deadline machinery — or the anytime fallback — can produce an
+// outcome.
 ExplanationRequest MakeHardRequest(const SyntheticDataset& data,
                                    DatabaseHandle h1, DatabaseHandle h2) {
   ExplanationRequest req = MakeRequest(data, h1, h2);
+  req.attr_matches = {AttributeMatch::Single(
+      "match_attr", "match_attr", SemanticRelation::kLessGeneral)};
   req.calibration_oracle = nullptr;
   req.mapping_options.use_blocking = false;
   req.mapping_options.min_probability = 1e-12;

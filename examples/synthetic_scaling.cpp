@@ -47,7 +47,7 @@ int main() {
     std::printf("batch=%zu (%s)\n", batch,
                 batch == 0 ? "connected components only"
                            : "smart partitioning, Algorithm 3");
-    std::printf("  sub-problems: %zu  (milp: %zu, assignment B&B: %zu)\n",
+    std::printf("  sub-problems: %zu  (milp: %zu, exact engines: %zu)\n",
                 r.core().stats.num_subproblems, r.core().stats.milp_solved,
                 r.core().stats.exact_solved);
     std::printf("  cut matches: %zu of %zu\n",

@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation.
 //
 // All data generators and randomized tests seed an Rng explicitly so every
-// experiment in EXPERIMENTS.md is exactly reproducible. The core generator
+// experiment in docs/BENCHMARKS.md is exactly reproducible. The core generator
 // is splitmix64 feeding xoshiro256**, which is fast and high-quality.
 
 #ifndef EXPLAIN3D_COMMON_RNG_H_

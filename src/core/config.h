@@ -64,8 +64,9 @@ struct Explain3DConfig {
   // --- MILP solving (Section 3.2) ---
   /// Components whose encoded model stays under this many constraints are
   /// solved through the faithful Section-3.2 MILP encoding; larger
-  /// components fall back to the structure-exploiting exact branch &
-  /// bound (see DESIGN.md substitutions — both are exact).
+  /// components go to the structure-exploiting exact engines of
+  /// core/exact_solver.h (see docs/ARCHITECTURE.md, "Substitutions" —
+  /// all are exact).
   size_t milp_max_constraints = 250;
   /// Wall-clock budget of the WHOLE stage-2 solve, enforced through a
   /// deadline CancelToken (common/cancel.h) linked under the caller's
@@ -78,7 +79,10 @@ struct Explain3DConfig {
   /// deadline_seconds) on the serving path.
   double milp_time_limit_seconds = 0;
   size_t milp_max_nodes = 50000;
-  /// Node limit of the specialized component solver.
+  /// Node limit of the assignment branch & bound, which solves units
+  /// with a one-sided degree cap (⊑ / ⊒, the NP-hard case). Units with
+  /// both sides capped (≡, or AVG/MAX/MIN) are solved as a polynomial
+  /// max-weight matching, always to proven optimality, and ignore it.
   size_t exact_max_nodes = 4000000;
 
   // --- graceful degradation (anytime serving) ---
@@ -122,7 +126,9 @@ struct Explain3DConfig {
   /// order). Output is bit-identical to a serial run for every value.
   /// 0 = auto: hardware_concurrency, or the EXPLAIN3D_NUM_THREADS
   /// environment override when set (CI uses it to exercise the parallel
-  /// paths). 1 = run serially on the calling thread.
+  /// paths); Explain3DService resolves auto to the request's share of
+  /// the cores instead (ServiceOptions::max_concurrency). 1 = run
+  /// serially on the calling thread.
   size_t num_threads = 0;
 
   // --- stage-1 caching ---

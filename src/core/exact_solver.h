@@ -1,4 +1,4 @@
-// Structure-exploiting exact solver for EXP-3D sub-problems.
+// Structure-exploiting exact engines for EXP-3D sub-problems.
 //
 // The MILP of Section 3.2 has a special shape: under a valid mapping one
 // side (the "assigning" side) has degree ≤ 1, so a solution is exactly an
@@ -12,10 +12,23 @@
 //     reconciles it (changing the group head to the member sum is always
 //     feasible), costing c − b; matching sums cost nothing.
 //
-// This enables a branch & bound over per-tuple assignment choices with an
-// admissible bound, which scales to the component sizes where the generic
-// MILP (dense basis inverse) becomes impractical. Both solvers are exact;
-// tests cross-check them on random instances (see DESIGN.md).
+// Which engine solves a unit depends on its degree caps:
+//
+//   * Both sides capped (≡ attribute matches, or a strict AVG/MAX/MIN
+//     aggregate): every group holds at most one member, the objective
+//     splits into per-pair terms, and the unit is a max-weight bipartite
+//     matching — polynomial. A successive-shortest-path assignment solver
+//     finds it, then its optimal duals pick out the optimum the branch &
+//     bound below would accept first, so both engines agree bit for bit
+//     wherever the branch & bound proves optimality. Always proven optimal.
+//   * One side capped (⊑ / ⊒, many-to-one): the NP-hard case (Thm 3.5,
+//     tests/np_reduction_test.cc). An assignment branch & bound over
+//     per-tuple choices with an admissible bound, capped at `max_nodes`.
+//
+// Both scale to component sizes where the generic MILP (dense basis
+// inverse) becomes impractical; tests cross-check them against each other
+// and against brute force (tests/one_to_one_solver_test.cc,
+// tests/solver_oracle_test.cc).
 
 #ifndef EXPLAIN3D_CORE_EXACT_SOLVER_H_
 #define EXPLAIN3D_CORE_EXACT_SOLVER_H_
@@ -46,11 +59,14 @@ struct ExactSolveResult {
   size_t nodes = 0;
 };
 
-/// Solves one sub-problem exactly by assignment branch & bound.
+/// Solves one sub-problem exactly: by max-weight matching when both sides
+/// are degree-capped, else by assignment branch & bound.
 ///
-/// `max_nodes` bounds the search; on hitting it the best incumbent is
-/// returned with proven_optimal = false. `cancel` (nullptr = never) is
-/// polled at node-expansion granularity; when it fires mid-search the
+/// `max_nodes` bounds the branch & bound only; on hitting it the best
+/// incumbent is returned with proven_optimal = false. The matching engine
+/// always proves optimality and reports its shortest-path searches as
+/// `nodes`. `cancel` (nullptr = never) is polled every 64 nodes
+/// (augmentations for the matching engine); when it fires mid-search the
 /// call abandons its state and returns the token's Status — never a
 /// time-truncated incumbent, so interrupted calls cannot perturb
 /// determinism. An interrupted call still proves an optimistic bound on
@@ -67,8 +83,19 @@ struct ExactSolveResult {
 /// final leaf: warm and cold solves return bit-identical explanations.
 /// A floored search that fails to prove optimality (stale floor, node
 /// limit) is rerun cold internally — a bad floor can cost time, never
-/// correctness.
+/// correctness. The matching engine has no search to prune and ignores it.
 Result<ExactSolveResult> SolveComponentExact(
+    const CanonicalRelation& t1, const CanonicalRelation& t2,
+    const TupleMapping& mapping, const AttributeMatch& attr,
+    const ProbabilityModel& prob, const SubProblem& sub,
+    size_t max_nodes = 4000000, const CancelToken* cancel = nullptr,
+    double* interrupted_bound = nullptr,
+    double warm_objective = std::numeric_limits<double>::quiet_NaN());
+
+/// SolveComponentExact forced through the assignment branch & bound, even
+/// on units with both sides capped — the reference the matching engine is
+/// tested and benchmarked against. Not on the serving path.
+Result<ExactSolveResult> SolveComponentBranchAndBound(
     const CanonicalRelation& t1, const CanonicalRelation& t2,
     const TupleMapping& mapping, const AttributeMatch& attr,
     const ProbabilityModel& prob, const SubProblem& sub,

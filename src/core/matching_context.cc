@@ -82,14 +82,13 @@ size_t EntryCharge(const std::string& key, size_t art_bytes) {
   return art_bytes + 2 * StringBytes(key) + kNodeOverhead;
 }
 
-// Charge of one incumbent record under the same model.
+}  // namespace
+
 size_t IncumbentCharge(const std::string& key, const SolverIncumbents& inc) {
   return sizeof(SolverIncumbents) +
          inc.units.capacity() * sizeof(UnitIncumbent) + 2 * StringBytes(key) +
          kNodeOverhead;
 }
-
-}  // namespace
 
 size_t ApproxBytes(const Stage1Artifacts& art) {
   size_t b = sizeof(Stage1Artifacts);

@@ -87,6 +87,11 @@ using ArtifactsPtr = std::shared_ptr<const Stage1Artifacts>;
 /// budgeting, not allocator-exact accounting.
 size_t ApproxBytes(const Stage1Artifacts& art);
 
+/// \brief Byte charge of one warm-start incumbent record stored under
+/// `key`: the record and its units plus the same key overhead as an
+/// artifact entry.
+size_t IncumbentCharge(const std::string& key, const SolverIncumbents& inc);
+
 /// \brief Cross-call cache of stage-1 artifacts (see file comment for the
 /// immutability and lifetime contract).
 ///

@@ -12,9 +12,9 @@
 // otherwise. The log-space objective of Eq. (6) is the sum of all tuple
 // and match log-probabilities.
 //
-// Note (paper typo, see DESIGN.md): the paper's Eq. (8) swaps the
-// constants b and c relative to its prose; here y=1 (unchanged) pays
-// log α + log β.
+// Note (paper typo, see docs/ARCHITECTURE.md, "Substitutions"): the
+// paper's Eq. (8) swaps the constants b and c relative to its prose; here
+// y=1 (unchanged) pays log α + log β.
 
 #ifndef EXPLAIN3D_CORE_PROBABILITY_MODEL_H_
 #define EXPLAIN3D_CORE_PROBABILITY_MODEL_H_

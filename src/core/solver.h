@@ -6,9 +6,10 @@
 //   2. optional per-part component decomposition (lossless);
 //   3. each sub-problem solved exactly: the faithful Section-3.2 MILP
 //      encoding + branch & bound for component-sized models, the
-//      structure-exploiting assignment branch & bound (exact_solver.h)
-//      beyond that — both return the same optima (cross-checked in
-//      tests);
+//      structure-exploiting engines of exact_solver.h beyond that (a
+//      max-weight matching when both sides are degree-capped, an
+//      assignment branch & bound when one is) — all return the same
+//      optima (cross-checked in tests);
 //   4. merge, normalize, and score the explanation set with the
 //      Section-3.1 probability model.
 
@@ -79,8 +80,10 @@ struct Explain3DStats {
   SmartPartitionStats partition;
   size_t num_subproblems = 0;
   size_t milp_solved = 0;   ///< sub-problems through the MILP encoding
-  size_t exact_solved = 0;  ///< sub-problems through assignment B&B
-  size_t total_nodes = 0;   ///< branch & bound nodes across sub-problems
+  size_t exact_solved = 0;  ///< sub-problems through exact_solver.h
+  /// Branch & bound nodes across sub-problems (shortest-path searches for
+  /// the 1:1 matching engine).
+  size_t total_nodes = 0;
   double solve_seconds = 0;  ///< stage-2 optimization time
   bool all_optimal = true;   ///< false if any sub-problem hit a limit
   /// Units whose branch & bound was seeded from a matching warm-start

@@ -3,7 +3,7 @@
 // The paper scrapes the UMass-Amherst / OSU undergraduate-program pages
 // and the NCES statistics; those exact files are not redistributable, so
 // this generator synthesizes structurally equivalent pairs with the same
-// statistical profile (see DESIGN.md substitutions):
+// statistical profile (see docs/ARCHITECTURE.md, "Substitutions"):
 //
 //   University side:  Major(Major, Degree[, Campus], School) — one row per
 //                     degree program; majors may repeat across degrees

@@ -6,7 +6,7 @@
 // explanation is correct when the gold standard fixes the same tuple *or
 // a gold-matched partner of it* — within a matched pair the data cannot
 // reveal which side holds the wrong value, so both attributions describe
-// the same underlying error (documented in EXPERIMENTS.md).
+// the same underlying error (docs/ARCHITECTURE.md, "Substitutions").
 
 #ifndef EXPLAIN3D_EVAL_METRICS_H_
 #define EXPLAIN3D_EVAL_METRICS_H_

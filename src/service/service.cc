@@ -154,6 +154,8 @@ bool RequestTicket::CompleteIfQueued(Result<PipelineResult> result,
 Explain3DService::Explain3DService(ServiceOptions options)
     : options_(options),
       max_concurrency_(ResolveThreads(options.max_concurrency)),
+      request_threads_(
+          std::max<size_t>(1, ResolveThreads(0) / max_concurrency_)),
       cache_(options.cache_budget_bytes) {
   // Requests occupy pool workers for their whole run; make sure the pool
   // can hold max_concurrency_ of them (nested ParallelFor calls remain
@@ -456,6 +458,7 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
         // fallback BEFORE it queues, so it can still answer inside its
         // deadline instead of expiring empty-handed in the backlog. The
         // result stays explicitly marked degraded().
+        bool flipped = false;
         if (options_.auto_fallback_on_overload && deadline > 0 &&
             ticket->request_.config.degradation_mode ==
                 DegradationMode::kStrict &&
@@ -463,11 +466,15 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
           ticket->request_.config.degradation_mode =
               DegradationMode::kFallbackGreedy;
           auto_degraded_.fetch_add(1);
+          flipped = true;
         }
         ticket->seq_ = next_seq_++;
-        if (!coalesce_key.empty()) {
+        if (!coalesce_key.empty() && !flipped) {
           // First request under this key: it LEADS. Identical submits
-          // while it is queued or running attach above.
+          // while it is queued or running attach above. A flipped
+          // request leads nothing: its key names the strict config it no
+          // longer runs, and a strict follower must never receive its
+          // degraded answer.
           ticket->coalesce_key_ = coalesce_key;
           coalesce_groups_[coalesce_key].leader = ticket;
         }
@@ -743,6 +750,15 @@ void Explain3DService::Process(const TicketPtr& ticket) {
               // at construction), never a single request's.
               Explain3DConfig config = req.config;
               config.cache_budget_bytes = 0;
+              // The cores are shared the same way: an auto thread count
+              // resolves to this request's slot share, so concurrent
+              // requests never oversubscribe the pool, and a request's
+              // run time does not hinge on every core being free at once
+              // (on a shared host, fanning one request out over all
+              // cores more than doubled its run-to-run spread).
+              if (config.num_threads == 0) {
+                config.num_threads = request_threads_;
+              }
               // Retry loop (see RetryPolicy): re-run TRANSIENT failures
               // (kUnavailable only — injected faults, dropped cache
               // inserts) up to max_attempts times with interruptible,

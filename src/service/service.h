@@ -430,6 +430,9 @@ struct ServiceStats {
 struct ServiceOptions {
   /// Max requests running concurrently on the SharedPool. 0 = auto
   /// (ResolveThreads: hardware_concurrency or EXPLAIN3D_NUM_THREADS).
+  /// A request whose config leaves num_threads at 0 (auto) runs with
+  /// its slot's share of the cores, max(1, cores / max_concurrency):
+  /// one thread per request at the default, all of them at 1.
   size_t max_concurrency = 0;
   /// Stage-1 cache budget, forwarded to the owned MatchingContext
   /// (summed ApproxBytes, LRU eviction past it). 0 = unlimited.
@@ -519,7 +522,8 @@ struct ServiceOptions {
   /// and expiring empty-handed. Counted in ServiceStats::auto_degraded;
   /// results stay explicitly marked degraded(). Requests that carry no
   /// deadline, or whose config already left kStrict, are never touched.
-  /// false = never override a request's config.
+  /// A flipped request leads no coalescing group. false = never override
+  /// a request's config.
   bool auto_fallback_on_overload = true;
   /// Queue-depth multiples of max_concurrency at which health leaves
   /// kHealthy (see ServiceHealth): depth >= degrade_queue_factor × W is
@@ -752,6 +756,9 @@ class Explain3DService {
 
   const ServiceOptions options_;
   const size_t max_concurrency_;
+  /// num_threads of a request that leaves it on auto (0): the cores
+  /// divided among the max_concurrency_ slots, at least 1.
+  const size_t request_threads_;
 
   // Registry: name → slot. Slots hold shared_ptrs so replaced databases
   // survive until their last in-flight request completes.

@@ -139,10 +139,18 @@ PipelineInput BasicInput(const SyntheticDataset& data) {
   return input;
 }
 
-// Dense, uncalibrated, undecomposed: one monolithic branch & bound whose
-// uninterrupted solve takes far longer than any test budget here.
+// Dense, uncalibrated, undecomposed and one-sided (⊑, the NP-hard
+// many-to-one shape; an ≡ unit would solve as a polynomial matching): one
+// monolithic branch & bound whose uninterrupted solve takes far longer
+// than any test budget here.
+AttributeMatches OneSidedMatch() {
+  return {AttributeMatch::Single(
+      "match_attr", "match_attr", SemanticRelation::kLessGeneral)};
+}
+
 PipelineInput HardInput(const SyntheticDataset& data) {
   PipelineInput input = BasicInput(data);
+  input.attr_matches = OneSidedMatch();
   input.mapping_options.use_blocking = false;
   input.mapping_options.min_probability = 1e-12;
   return input;
@@ -487,6 +495,7 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToFallback) {
 
   // Occupy the only worker with an unbounded hard solve...
   ExplanationRequest blocker = ServiceRequest(blocker_data, b1, b2);
+  blocker.attr_matches = OneSidedMatch();
   blocker.mapping_options.use_blocking = false;
   blocker.mapping_options.min_probability = 1e-12;
   blocker.config = HardSolveConfig();
@@ -523,6 +532,80 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToFallback) {
   // Pressure left the window → health recovers by itself.
   EXPECT_EQ(service.Stats().queue_depth, 0u);
   EXPECT_NE(service.Stats().health, ServiceHealth::kOverloaded);
+}
+
+// kStrict never returns a degraded answer, coalesced or not. The overload
+// valve rewrites a deadline-carrying leader to the greedy fallback; an
+// identical strict request without a deadline (the deadline is not part
+// of the coalescing key, so the keys match) must not attach to it.
+TEST(ServiceResilienceTest, OverloadFlippedLeaderNeverServesStrictFollower) {
+  SyntheticDataset blocker_data = DegradeTestData(61);
+  SyntheticDataset easy_data = DegradeTestData(62, 24);
+  SyntheticDataset hard_data = DegradeTestData(64);
+  ServiceOptions options;
+  options.max_concurrency = 1;
+  options.admission_control = false;  // flood must QUEUE, not reject
+  options.cancel_running_on_destruction = true;
+  Explain3DService service(options);
+  DatabaseHandle b1 = service.RegisterDatabase("b1", blocker_data.db1);
+  DatabaseHandle b2 = service.RegisterDatabase("b2", blocker_data.db2);
+  DatabaseHandle e1 = service.RegisterDatabase("e1", easy_data.db1);
+  DatabaseHandle e2 = service.RegisterDatabase("e2", easy_data.db2);
+  DatabaseHandle h1 = service.RegisterDatabase("h1", hard_data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("h2", hard_data.db2);
+
+  // Oracle-free (coalescible) endless solves.
+  auto hard_request = [](const SyntheticDataset& data, DatabaseHandle d1,
+                         DatabaseHandle d2) {
+    ExplanationRequest req = ServiceRequest(data, d1, d2);
+    req.attr_matches = OneSidedMatch();
+    req.mapping_options.use_blocking = false;
+    req.mapping_options.min_probability = 1e-12;
+    req.config = HardSolveConfig();
+    return req;
+  };
+  TicketPtr running = service.Submit(hard_request(blocker_data, b1, b2));
+  for (int i = 0; i < 2000 && service.Stats().running == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(service.Stats().running, 1u);
+
+  // Distinct easy requests (the config seed splits their coalescing
+  // keys) queue past overload_queue_factor × 1.
+  std::vector<TicketPtr> flood;
+  for (int i = 0; i < 4; ++i) {
+    ExplanationRequest req = ServiceRequest(easy_data, e1, e2);
+    req.config.seed = 100 + i;
+    flood.push_back(service.Submit(std::move(req)));
+  }
+  ASSERT_EQ(service.Stats().health, ServiceHealth::kOverloaded);
+
+  // The leader carries a deadline, so the valve flips it to the fallback;
+  // its endless solve then answers degraded when the budget fires.
+  ExplanationRequest leader_req = hard_request(hard_data, h1, h2);
+  leader_req.deadline_seconds = 2.0;
+  TicketPtr leader = service.Submit(std::move(leader_req));
+  EXPECT_EQ(service.Stats().auto_degraded, 1u);
+  // The identical strict request without a deadline is never flipped.
+  TicketPtr follower = service.Submit(hard_request(hard_data, h1, h2));
+  EXPECT_EQ(service.Stats().auto_degraded, 1u);
+
+  running->Cancel();
+  for (const TicketPtr& t : flood) t->Wait();
+  const Result<PipelineResult>* lr = leader->WaitFor(60.0);
+  ASSERT_NE(lr, nullptr);
+  ASSERT_TRUE(lr->ok()) << lr->status().ToString();
+  EXPECT_TRUE(lr->value().degraded());
+
+  // The strict follower runs for itself: still solving when the leader
+  // answers, and it ends only by its own cancel — never degraded.
+  EXPECT_EQ(follower->TryGet(), nullptr);
+  follower->Cancel();
+  const Result<PipelineResult>* fr = follower->WaitFor(60.0);
+  ASSERT_NE(fr, nullptr);
+  EXPECT_FALSE(fr->ok() && fr->value().degraded());
+  EXPECT_EQ(fr->status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(service.Stats().coalesced_hits, 0u);
 }
 
 TEST(ServiceResilienceTest, WatchdogFiresDeadlineDuringStalledPoll) {

@@ -121,7 +121,14 @@ PipelineInput CancelTestInput(const SyntheticDataset& data,
 
 // The service_test "hard solve" shape, at the pipeline level: one
 // monolithic sub-problem through the assignment branch & bound with an
-// effectively unbounded node limit — only a deadline/cancel ends it.
+// effectively unbounded node limit — only a deadline/cancel ends it. The
+// match must be one-sided (⊑, the NP-hard many-to-one shape): an ≡ unit
+// solves as a polynomial matching in milliseconds.
+AttributeMatches OneSidedMatch() {
+  return {AttributeMatch::Single(
+      "match_attr", "match_attr", SemanticRelation::kLessGeneral)};
+}
+
 Explain3DConfig HardSolveConfig() {
   Explain3DConfig config;
   config.num_threads = 1;
@@ -193,7 +200,9 @@ TEST(PipelineCancelTest, CancelDuringSolveKeepsCompleteStage1Warm) {
   EXPECT_EQ(context.misses(), 1u);
 
   // An identical retry (no cancellation) warms off them: no second
-  // build, no byte growth, and a real result.
+  // build, and a real result. Its proven-optimal answer stores one
+  // warm-start incumbent record; the bytes grow by exactly that record's
+  // charge and nothing else.
   input.cancel = nullptr;
   input.calibration_oracle = nullptr;
   Result<PipelineResult> retry = RunExplain3D(input, config);
@@ -201,7 +210,12 @@ TEST(PipelineCancelTest, CancelDuringSolveKeepsCompleteStage1Warm) {
   EXPECT_EQ(context.hits(), 1u);
   EXPECT_EQ(context.misses(), 1u);
   EXPECT_EQ(context.size(), 1u);
-  EXPECT_EQ(context.bytes(), bytes_after_cancel);
+  ASSERT_EQ(context.incumbent_entries(), 1u);
+  auto records = context.IncumbentEntries();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(context.bytes(),
+            bytes_after_cancel +
+                IncumbentCharge(records[0].first, *records[0].second));
 
   // Cache counters stay consistent through an explicit drop.
   context.Clear();
@@ -215,6 +229,7 @@ TEST(PipelineCancelTest, DeadlineDuringSolveInterruptsWithoutDegradedResult) {
   PipelineInput input = CancelTestInput(data, &context);
   // Dense uncalibrated instance: the uninterrupted solve takes far
   // longer than this test's whole budget.
+  input.attr_matches = OneSidedMatch();
   input.mapping_options.use_blocking = false;
   input.mapping_options.min_probability = 1e-12;
 
@@ -241,6 +256,7 @@ TEST(PipelineCancelTest, MilpTimeLimitRoutesThroughTheDeadlineToken) {
   // with no token required from the caller.
   SyntheticDataset data = CancelTestData(44);
   PipelineInput input = CancelTestInput(data, /*context=*/nullptr);
+  input.attr_matches = OneSidedMatch();
   input.mapping_options.use_blocking = false;
   input.mapping_options.min_probability = 1e-12;
 

@@ -119,12 +119,16 @@ CalibrationOracle TaggingOracle(std::mutex* mu, std::vector<int>* order,
 // decomposition off), dense uncalibrated candidates (blocking off, tiny
 // probability floor), the assignment branch & bound forced
 // (milp_max_constraints = 0) with an astronomically high node limit.
-// Only cooperative cancellation or a deadline can end it in test time —
-// which is exactly what these tests measure.
+// The match is one-sided (⊑, many-to-one: the NP-hard shape of Thm 3.5);
+// under ≡ the unit would be a polynomial matching, solved in
+// milliseconds. Only cooperative cancellation or a deadline can end it
+// in test time — which is exactly what these tests measure.
 ExplanationRequest MakeHardSolveRequest(const SyntheticDataset& data,
                                         DatabaseHandle h1,
                                         DatabaseHandle h2) {
   ExplanationRequest req = MakeRequest(data, h1, h2);
+  req.attr_matches = {AttributeMatch::Single(
+      "match_attr", "match_attr", SemanticRelation::kLessGeneral)};
   req.calibration_oracle = nullptr;  // raw similarities: ambiguous probs
   req.mapping_options.use_blocking = false;
   req.mapping_options.min_probability = 1e-12;
@@ -492,6 +496,29 @@ TEST(ServiceDeterminismTest, ConcurrentSubmitsMatchSerialRunsBitForBit) {
   EXPECT_LE(stats.total_seconds.p50, stats.total_seconds.p99);
   EXPECT_LE(stats.total_seconds.p99, stats.total_seconds.max);
   EXPECT_GT(stats.stage1_seconds.max, 0.0);
+}
+
+TEST(ServiceDeterminismTest, AutoThreadRequestsMatchSerialRunsAtAnyWidth) {
+  // A request that leaves num_threads on auto runs with its slot's share
+  // of the cores: all of them at max_concurrency 1, one at 64 slots.
+  // Either way its answer is the serial one.
+  SyntheticDataset data = MakeData(21, 80);
+  ExplanationRequest serial_req = MakeRequest(data, {}, {});
+  PipelineResult baseline = SerialBaseline(data, serial_req);
+  for (size_t width : {size_t{1}, size_t{64}}) {
+    ServiceOptions options;
+    options.max_concurrency = width;
+    Explain3DService service(options);
+    DatabaseHandle h1 = service.RegisterDatabase("d1", data.db1);
+    DatabaseHandle h2 = service.RegisterDatabase("d2", data.db2);
+    ExplanationRequest req = MakeRequest(data, h1, h2);
+    req.config.num_threads = 0;
+    TicketPtr ticket = service.Submit(std::move(req));
+    const Result<PipelineResult>& r = ticket->Wait();
+    ASSERT_TRUE(r.ok()) << "width " << width << ": "
+                        << r.status().ToString();
+    ExpectResultsBitIdentical(r.value(), baseline);
+  }
 }
 
 // --- cooperative cancellation of RUNNING requests ---------------------------
