@@ -215,7 +215,6 @@ ExplanationRequest MakeHardRequest(const SyntheticDataset& data,
   req.config.num_threads = 1;
   req.config.batch_size = 0;
   req.config.decompose_components = false;
-  req.config.milp_max_constraints = 0;
   req.config.exact_max_nodes = max_nodes;
   return req;
 }

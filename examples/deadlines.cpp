@@ -64,7 +64,6 @@ ExplanationRequest MakeEndlessRequest(const SyntheticDataset& data,
   req.mapping_options.min_probability = 1e-12;
   req.config.batch_size = 0;
   req.config.decompose_components = false;
-  req.config.milp_max_constraints = 0;
   req.config.exact_max_nodes = size_t{1} << 60;
   return req;
 }

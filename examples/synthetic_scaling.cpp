@@ -47,9 +47,10 @@ int main() {
     std::printf("batch=%zu (%s)\n", batch,
                 batch == 0 ? "connected components only"
                            : "smart partitioning, Algorithm 3");
-    std::printf("  sub-problems: %zu  (milp: %zu, exact engines: %zu)\n",
-                r.core().stats.num_subproblems, r.core().stats.milp_solved,
-                r.core().stats.exact_solved);
+    std::printf("  sub-problems: %zu  (searched by the exact engines: %zu, "
+                "nodes: %zu)\n",
+                r.core().stats.num_subproblems, r.core().stats.exact_solved,
+                r.core().stats.total_nodes);
     std::printf("  cut matches: %zu of %zu\n",
                 r.core().stats.partition.cut_matches,
                 r.initial_mapping().size());

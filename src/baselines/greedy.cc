@@ -11,12 +11,8 @@ ExplanationSet GreedyBaseline(const CanonicalRelation& t1,
                               const TupleMapping& mapping,
                               const AttributeMatch& attr,
                               const ProbabilityModel& prob) {
-  auto strict = [](AggFunc f) {
-    return f == AggFunc::kAvg || f == AggFunc::kMax || f == AggFunc::kMin;
-  };
-  bool strict11 = strict(t1.agg) || strict(t2.agg);
-  bool cap1 = attr.Side1DegreeCapped() || strict11;
-  bool cap2 = attr.Side2DegreeCapped() || strict11;
+  const DegreeCaps caps = EffectiveDegreeCaps(t1, t2, attr);
+  const bool cap1 = caps.side1, cap2 = caps.side2;
 
   // Visit matches by decreasing probability.
   std::vector<size_t> order(mapping.size());

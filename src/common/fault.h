@@ -3,11 +3,22 @@
 //
 // Robustness code is only as trustworthy as the failure paths a test can
 // actually reach. This framework plants named FAULT_POINT(site) probes at
-// the spots where production systems actually break — stage-1 build
-// steps, cache insert/evict, registry retirement, MILP node expansion,
-// the service worker claim — and lets a test (or an operator, via the
-// EXPLAIN3D_FAULT_SPEC environment variable) arm a schedule that makes
-// some of those probes fire Status::Unavailable.
+// the spots where production systems actually break and lets a test (or
+// an operator, via the EXPLAIN3D_FAULT_SPEC environment variable) arm a
+// schedule that makes some of those probes fire: a FAULT_POINT returns
+// Status::Unavailable, a FAULT_FIRED site takes its own failure branch
+// (a skipped eviction round, a torn write failing with kIOError).
+// The sites:
+//
+//   stage1.execute, stage1.provenance, stage1.intern, stage1.block
+//                        stage-1 build steps
+//   cache.insert, cache.evict    MatchingContext insert / eviction round
+//   registry.retire      eager cache sweep on database re-registration
+//   solve.unit           entry of each stage-2 unit solve (core/solver.cc)
+//   milp.node            MILP branch & bound node expansion — reached only
+//                        by direct MilpSolver callers (tests, benches)
+//   service.claim        the service worker's claim of a request
+//   storage.write, storage.fsync, storage.rename    persistence I/O
 //
 // Determinism: every firing decision is a pure function of
 // (spec seed, site name, that site's hit index) through the counter-RNG
@@ -28,7 +39,7 @@
 //           | 'n' uint64                -- fire every n-th hit (n, 2n, ...)
 //           | 'once' uint64             -- fire exactly hit #k (0-based)
 //
-// Example: "seed=42; stage1.block=p0.01; cache.insert=n100; milp.node=once3"
+// Example: "seed=42; stage1.block=p0.01; cache.insert=n100; solve.unit=once3"
 //
 // Compile-time gate: building with -DEXPLAIN3D_NO_FAULT_INJECTION (CMake
 // option EXPLAIN3D_FAULT_INJECTION=OFF, for production binaries) compiles

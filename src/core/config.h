@@ -61,13 +61,10 @@ struct Explain3DConfig {
   bool decompose_components = true;
   uint64_t seed = 1;
 
-  // --- MILP solving (Section 3.2) ---
-  /// Components whose encoded model stays under this many constraints are
-  /// solved through the faithful Section-3.2 MILP encoding; larger
-  /// components go to the structure-exploiting exact engines of
-  /// core/exact_solver.h (see docs/ARCHITECTURE.md, "Substitutions" —
-  /// all are exact).
-  size_t milp_max_constraints = 250;
+  // --- stage-2 solving (Section 3.2) ---
+  // Every unit is solved by the structure-exploiting exact engines of
+  // core/exact_solver.h, which return the Section-3.2 MILP's optimum (see
+  // docs/ARCHITECTURE.md, "Substitutions").
   /// Wall-clock budget of the WHOLE stage-2 solve, enforced through a
   /// deadline CancelToken (common/cancel.h) linked under the caller's
   /// request token. 0 (the default) = unlimited. When the budget fires,
@@ -78,7 +75,6 @@ struct Explain3DConfig {
   /// gone). Prefer per-request deadlines (ExplanationRequest::
   /// deadline_seconds) on the serving path.
   double milp_time_limit_seconds = 0;
-  size_t milp_max_nodes = 50000;
   /// Node limit of the assignment branch & bound, which solves units
   /// with a one-sided degree cap (⊑ / ⊒, the NP-hard case). Units with
   /// both sides capped (≡, or AVG/MAX/MIN) are solved as a polynomial

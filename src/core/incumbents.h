@@ -39,16 +39,8 @@ struct UnitIncumbent {
   /// match.
   uint64_t fingerprint = 0;
   /// The unit's proven-optimal objective (includes the unit's constant
-  /// edge terms — the same scale as ExactSolveResult::objective and the
-  /// MILP solution objective).
+  /// edge terms — the same scale as ExactSolveResult::objective).
   double objective = 0;
-  /// True when the unit's answer was decoded from the assignment solver
-  /// (the MILP either was not attempted or hit its node limit). A warm
-  /// re-solve then skips the MILP attempt outright: it would
-  /// deterministically hit the same limit and fall back anyway, and
-  /// skipping it both saves the wasted nodes and keeps the warm result
-  /// decoded by the same engine as the cold one.
-  bool via_assignment = false;
 };
 
 /// All recorded optima of one solve, in unit order, plus the total.

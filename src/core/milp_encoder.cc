@@ -8,25 +8,15 @@
 
 namespace explain3d {
 
-namespace {
-bool StrictOneToOne(const CanonicalRelation& t1,
-                    const CanonicalRelation& t2) {
-  auto strict = [](AggFunc f) {
-    return f == AggFunc::kAvg || f == AggFunc::kMax || f == AggFunc::kMin;
-  };
-  return strict(t1.agg) || strict(t2.agg);
-}
-}  // namespace
-
 MilpEncoder::MilpEncoder(const CanonicalRelation& t1,
                          const CanonicalRelation& t2,
                          const TupleMapping& mapping,
                          const AttributeMatch& attr,
                          const ProbabilityModel& prob)
     : t1_(t1), t2_(t2), mapping_(mapping), prob_(prob) {
-  bool strict = StrictOneToOne(t1, t2);
-  cap1_ = attr.Side1DegreeCapped() || strict;
-  cap2_ = attr.Side2DegreeCapped() || strict;
+  const DegreeCaps caps = EffectiveDegreeCaps(t1, t2, attr);
+  cap1_ = caps.side1;
+  cap2_ = caps.side2;
   integral_ = t1.integral_impacts && t2.integral_impacts;
   E3D_CHECK(cap1_ || cap2_)
       << "many-to-many attribute matches admit no valid mapping";

@@ -78,8 +78,8 @@ class MilpEncoder {
   bool integral_ = true;
 };
 
-/// Number of constraints Encode would emit (cheap estimate used to route
-/// big components to the specialized exact solver).
+/// Estimated number of constraints Encode emits for `sub`, computed
+/// without building the model.
 size_t EstimateMilpConstraints(const SubProblem& sub, bool side1_capped,
                                bool side2_capped);
 

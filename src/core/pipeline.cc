@@ -412,11 +412,10 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
 
 std::string Stage2ConfigTag(const Explain3DConfig& c) {
   return StrFormat("|s2:a%.17g|b%.17g|bs%zu|tl%.17g|th%.17g|r%.17g|pp%d|"
-                   "dc%d|mc%zu|mn%zu|en%zu",
+                   "dc%d|en%zu",
                    c.alpha, c.beta, c.batch_size, c.theta_low, c.theta_high,
                    c.reward, c.use_pre_partitioning ? 1 : 0,
-                   c.decompose_components ? 1 : 0, c.milp_max_constraints,
-                   c.milp_max_nodes, c.exact_max_nodes);
+                   c.decompose_components ? 1 : 0, c.exact_max_nodes);
 }
 
 std::string RequestResultKey(const std::string& db_identity,

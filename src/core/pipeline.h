@@ -136,10 +136,9 @@ struct DegradationInfo {
   /// caps how far the fallback is from optimal. The interrupted solvers
   /// still discard their INCUMBENTS (that is what keeps strict-mode
   /// results bit-identical across machine speeds) but publish the
-  /// deterministic optimistic bound their search state proves — open-node
-  /// bounds for the MILP, root bounds for the assignment engines, with
-  /// never-started sub-problems contributing their search-free root
-  /// bound. NaN only when no bound could be established.
+  /// deterministic optimistic bound their search state proves — the
+  /// exact engines' root bound for every interrupted or never-started
+  /// sub-problem. NaN only when no bound could be established.
   double incumbent_bound = std::numeric_limits<double>::quiet_NaN();
 };
 

@@ -58,6 +58,17 @@ double ProbabilityModel::Score(const CanonicalRelation& t1,
   return score;
 }
 
+DegreeCaps EffectiveDegreeCaps(const CanonicalRelation& t1,
+                               const CanonicalRelation& t2,
+                               const AttributeMatch& attr) {
+  auto strict = [](AggFunc f) {
+    return f == AggFunc::kAvg || f == AggFunc::kMax || f == AggFunc::kMin;
+  };
+  const bool strict11 = strict(t1.agg) || strict(t2.agg);
+  return {attr.Side1DegreeCapped() || strict11,
+          attr.Side2DegreeCapped() || strict11};
+}
+
 Status CheckCompleteness(const CanonicalRelation& t1,
                          const CanonicalRelation& t2,
                          const AttributeMatch& attr,
@@ -102,12 +113,8 @@ Status CheckCompleteness(const CanonicalRelation& t1,
     ++degree1[m.t1];
     ++degree2[m.t2];
   }
-  bool strict_one_to_one = t1.agg == AggFunc::kAvg ||
-                           t1.agg == AggFunc::kMax ||
-                           t1.agg == AggFunc::kMin || t2.agg == AggFunc::kAvg ||
-                           t2.agg == AggFunc::kMax || t2.agg == AggFunc::kMin;
-  bool cap1 = attr.Side1DegreeCapped() || strict_one_to_one;
-  bool cap2 = attr.Side2DegreeCapped() || strict_one_to_one;
+  const DegreeCaps caps = EffectiveDegreeCaps(t1, t2, attr);
+  const bool cap1 = caps.side1, cap2 = caps.side2;
   if (!cap1 && !cap2) {
     return Status::InvalidArgument(
         "attribute match implies a many-to-many mapping, which valid "

@@ -45,6 +45,18 @@ struct ProbabilityModel {
                const TupleMapping& mapping, const ExplanationSet& e) const;
 };
 
+/// Which sides of a valid mapping have degree ≤ 1: the attribute match's
+/// cardinality plus the strict one-to-one requirement of AVG/MAX/MIN
+/// queries (Definition 3.1). Neither capped means a many-to-many match,
+/// which admits no valid mapping.
+struct DegreeCaps {
+  bool side1 = true;
+  bool side2 = true;
+};
+DegreeCaps EffectiveDegreeCaps(const CanonicalRelation& t1,
+                               const CanonicalRelation& t2,
+                               const AttributeMatch& attr);
+
 /// Checks the completeness properties of Definition 3.4 for an
 /// explanation set: valid mapping cardinality (Def. 3.2), kept-tuple
 /// coverage, and per-component impact equality (Def. 3.3) over the

@@ -1,6 +1,5 @@
 #include "core/solver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -10,13 +9,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
+#include "common/fault.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/exact_solver.h"
-#include "core/milp_encoder.h"
-#include "milp/branch_and_bound.h"
 
 namespace explain3d {
 
@@ -67,7 +64,6 @@ struct UnitOutcome {
   Status status = Status::OK();
   ExplanationSet explanations;
   size_t total_nodes = 0;
-  size_t milp_solved = 0;
   size_t exact_solved = 0;
   bool all_optimal = true;
   /// Admissible upper bound on this unit's optimal objective. Equal to
@@ -78,11 +74,10 @@ struct UnitOutcome {
   double bound = std::numeric_limits<double>::quiet_NaN();
   /// The unit's achieved objective (const edge terms included) — only
   /// meaningful when status is OK. Recorded into the warm-start
-  /// incumbents together with the fingerprint and decode engine.
+  /// incumbents together with the fingerprint.
   double objective = 0;
-  uint64_t fingerprint = 0;    ///< UnitFingerprint of the solved unit
-  bool via_assignment = false;  ///< decoded by the assignment solver
-  bool warm_hit = false;  ///< seeded from a fingerprint-matched incumbent
+  uint64_t fingerprint = 0;  ///< UnitFingerprint of the solved unit
+  bool warm_hit = false;     ///< seeded from a fingerprint-matched incumbent
 };
 
 /// Feeds a double's bit pattern into the CounterHash chain — exact-match
@@ -102,15 +97,14 @@ uint64_t HashDouble(uint64_t h, double v) {
 uint64_t UnitFingerprint(const SubProblem& unit, const CanonicalRelation& t1,
                          const CanonicalRelation& t2,
                          const TupleMapping& mapping,
-                         const ProbabilityModel& prob, bool side1_capped,
-                         bool side2_capped) {
+                         const ProbabilityModel& prob, DegreeCaps caps) {
   uint64_t h = 0x9e3779b97f4a7c15ull;
   h = HashDouble(h, prob.a);
   h = HashDouble(h, prob.b);
   h = HashDouble(h, prob.c);
   h = CounterHash(h, static_cast<uint64_t>(t1.agg));
   h = CounterHash(h, static_cast<uint64_t>(t2.agg));
-  h = CounterHash(h, (side1_capped ? 1u : 0u) | (side2_capped ? 2u : 0u));
+  h = CounterHash(h, (caps.side1 ? 1u : 0u) | (caps.side2 ? 2u : 0u));
   for (size_t g : unit.t1_ids) {
     h = CounterHash(h, g);
     h = HashDouble(h, t1.tuples[g].impact);
@@ -138,26 +132,24 @@ void AppendExplanations(ExplanationSet* into, const ExplanationSet& from) {
                         from.evidence.end());
 }
 
-/// Solves one unit (a connected component or an undecomposed part).
-/// Thread-safe: only reads the shared inputs and writes its own outcome.
-/// `cancel` is polled on entry (the between-sub-problems cancellation
-/// point) and handed to both solvers for node-granularity polling.
-/// `warm` (nullable) is the unit's warm-start record; it is consulted
-/// only when its fingerprint matches. `threads` sizes the MILP's
-/// wave-parallel LP solves (bit-identical for every value).
+/// Solves one unit (a connected component or an undecomposed part) with
+/// the exact engines of core/exact_solver.h. Thread-safe: only reads the
+/// shared inputs and writes its own outcome. `cancel` is polled on entry
+/// (the between-sub-problems cancellation point, which also carries the
+/// solve.unit fault probe) and handed to the engine for node-granularity
+/// polling. `warm` (nullable) is the unit's warm-start record; it is
+/// consulted only when its fingerprint matches.
 UnitOutcome SolveUnit(const SubProblem& unit, const CanonicalRelation& t1,
                       const CanonicalRelation& t2,
-                      const Explain3DInput& input, const MilpEncoder& encoder,
+                      const Explain3DInput& input, DegreeCaps caps,
                       const ProbabilityModel& prob,
                       const Explain3DConfig& config,
-                      const CancelToken* cancel, const UnitIncumbent* warm,
-                      size_t threads) {
+                      const CancelToken* cancel, const UnitIncumbent* warm) {
   UnitOutcome out;
   out.status = CheckCancel(cancel);
+  if (out.status.ok()) out.status = FAULT_POINT("solve.unit");
   if (!out.status.ok()) return out;
-  out.fingerprint = UnitFingerprint(unit, t1, t2, input.mapping, prob,
-                                    encoder.side1_capped(),
-                                    encoder.side2_capped());
+  out.fingerprint = UnitFingerprint(unit, t1, t2, input.mapping, prob, caps);
   if (unit.match_ids.empty()) {
     // No candidate matches: every tuple is a provenance explanation.
     for (size_t g : unit.t1_ids) {
@@ -179,15 +171,9 @@ UnitOutcome SolveUnit(const SubProblem& unit, const CanonicalRelation& t1,
   // the kWarmStartMargin haircut, so they cut search without ever
   // changing the accepted solution.
   double floor_obj = std::numeric_limits<double>::quiet_NaN();
-  bool skip_milp_attempt = false;
   if (warm != nullptr && warm->fingerprint == out.fingerprint) {
     out.warm_hit = true;
     floor_obj = warm->objective;
-    // The recording run decoded this unit via the assignment solver —
-    // the MILP attempt would deterministically hit its node limit and
-    // fall back anyway (or, floored, could finish and switch the decode
-    // engine). Skipping it keeps warm ≡ cold and saves the wasted nodes.
-    skip_milp_attempt = warm->via_assignment;
   }
   if (input.greedy_selection != nullptr) {
     Result<double> g =
@@ -195,62 +181,6 @@ UnitOutcome SolveUnit(const SubProblem& unit, const CanonicalRelation& t1,
                            *input.greedy_selection);
     if (g.ok() && (!std::isfinite(floor_obj) || g.value() > floor_obj)) {
       floor_obj = g.value();
-    }
-  }
-
-  size_t est = EstimateMilpConstraints(unit, encoder.side1_capped(),
-                                       encoder.side2_capped());
-  if (est <= config.milp_max_constraints && !skip_milp_attempt) {
-    EncodedMilp enc = encoder.Encode(unit);
-    // First attempt is floored when a floor exists; a floored run that
-    // fails to prove optimality (node limit, infeasible floor artifact)
-    // is rerun fully cold so the fallback decision below never depends
-    // on the floor — a bad floor costs time, never determinism.
-    for (bool floored : {std::isfinite(floor_obj), false}) {
-      milp::MilpOptions mopts;
-      // The wall-clock budget is the cancel token's job now (Solve links
-      // config.milp_time_limit_seconds into it): a blown budget FAILS the
-      // call instead of truncating the search, so results never depend on
-      // machine speed. The node limit stays — it fires at the same node
-      // count everywhere, so its fallback is deterministic.
-      mopts.time_limit_seconds = milp::kInfinity;
-      mopts.max_nodes = config.milp_max_nodes;
-      mopts.cancel = cancel;
-      mopts.num_threads = threads;
-      if (floored) mopts.incumbent_floor = floor_obj - kWarmStartMargin;
-      milp::MilpSolver milp_solver(enc.model, mopts);
-      milp::Solution sol = milp_solver.Solve();
-      out.total_nodes += milp_solver.stats().nodes;
-      if (sol.status == milp::SolveStatus::kInterrupted) {
-        // The abandoned search still proves an optimistic bound (recorded
-        // before the incumbent was wiped; never tightened by the floor).
-        // +inf means the interrupt landed before the root LP solved — the
-        // collection pass substitutes the assignment solver's root bound
-        // then.
-        out.bound = milp_solver.stats().best_bound;
-        out.status = CheckCancel(cancel);
-        if (out.status.ok()) {
-          // Interrupted with a live token: the milp.node fault probe fired
-          // (common/fault.h) — the only other trigger of kInterrupted.
-          // Surface the transient, retryable code.
-          out.status =
-              Status::Unavailable("injected fault interrupted the MILP solve");
-        }
-        return out;
-      }
-      if (sol.status == milp::SolveStatus::kOptimal) {
-        AppendExplanations(&out.explanations,
-                           encoder.Decode(unit, enc, sol.values));
-        ++out.milp_solved;
-        out.bound = sol.objective;
-        out.objective = sol.objective;
-        return out;
-      }
-      if (floored) continue;  // defensive cold rerun
-      E3D_LOG(kWarn) << "MILP sub-problem returned "
-                     << milp::SolveStatusName(sol.status)
-                     << "; falling back to the assignment solver";
-      break;
     }
   }
 
@@ -266,13 +196,12 @@ UnitOutcome SolveUnit(const SubProblem& unit, const CanonicalRelation& t1,
     out.status = exact.status();
     return out;
   }
-  out.total_nodes += exact.value().nodes;
+  out.total_nodes = exact.value().nodes;
   out.all_optimal = exact.value().proven_optimal;
   out.bound = exact.value().bound;
   out.objective = exact.value().objective;
-  out.via_assignment = true;
   AppendExplanations(&out.explanations, exact.value().explanations);
-  ++out.exact_solved;
+  out.exact_solved = 1;
   return out;
 }
 
@@ -296,16 +225,19 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     }
   }
 
+  const DegreeCaps caps = EffectiveDegreeCaps(t1, t2, input.attr);
+  if (!caps.side1 && !caps.side2) {
+    return Status::InvalidArgument(
+        "many-to-many attribute matches admit no valid mapping");
+  }
+
   Explain3DResult result;
-  Timer total_timer;
 
   // Section 4: bounded-size sub-problems.
   E3D_ASSIGN_OR_RETURN(
       std::vector<SubProblem> parts,
       SmartPartition(t1.size(), t2.size(), input.mapping, config_,
                      &result.stats.partition));
-
-  MilpEncoder encoder(t1, t2, input.mapping, input.attr, prob_);
 
   Timer solve_timer;
 
@@ -358,8 +290,8 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     // poll is the per-sub-problem cancellation point.
     if (failed.load(std::memory_order_relaxed)) return;
     outcomes[i] =
-        SolveUnit(units[i], t1, t2, input, encoder, prob_, config_, cancel,
-                  warm != nullptr ? &warm->units[i] : nullptr, threads);
+        SolveUnit(units[i], t1, t2, input, caps, prob_, config_, cancel,
+                  warm != nullptr ? &warm->units[i] : nullptr);
     if (!outcomes[i].status.ok()) {
       failed.store(true, std::memory_order_relaxed);
     }
@@ -392,7 +324,6 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     if (!out.status.ok()) return out.status;
     AppendExplanations(&result.explanations, out.explanations);
     result.stats.total_nodes += out.total_nodes;
-    result.stats.milp_solved += out.milp_solved;
     result.stats.exact_solved += out.exact_solved;
     result.stats.all_optimal &= out.all_optimal;
     result.stats.warm_start_hits += out.warm_hit ? 1 : 0;
@@ -411,8 +342,7 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     SolverIncumbents rec;
     rec.units.reserve(outcomes.size());
     for (const UnitOutcome& out : outcomes) {
-      rec.units.push_back({out.fingerprint, out.objective,
-                           out.via_assignment});
+      rec.units.push_back({out.fingerprint, out.objective});
     }
     rec.objective = result.explanations.log_probability;
     rec.complete = result.stats.all_optimal;

@@ -4,12 +4,11 @@
 //   1. smart partitioning (Section 4) — or plain connected components
 //      when batch_size is 0/large enough;
 //   2. optional per-part component decomposition (lossless);
-//   3. each sub-problem solved exactly: the faithful Section-3.2 MILP
-//      encoding + branch & bound for component-sized models, the
-//      structure-exploiting engines of exact_solver.h beyond that (a
-//      max-weight matching when both sides are degree-capped, an
-//      assignment branch & bound when one is) — all return the same
-//      optima (cross-checked in tests);
+//   3. each sub-problem solved exactly by the structure-exploiting
+//      engines of exact_solver.h: a max-weight matching when both sides
+//      are degree-capped, an assignment branch & bound when one is. Both
+//      return the Section-3.2 MILP's optimum, which the tests cross-check
+//      against the faithful encoding (core/milp_encoder.h);
 //   4. merge, normalize, and score the explanation set with the
 //      Section-3.1 probability model.
 
@@ -79,7 +78,11 @@ struct Explain3DInput {
 struct Explain3DStats {
   SmartPartitionStats partition;
   size_t num_subproblems = 0;
-  size_t milp_solved = 0;   ///< sub-problems through the MILP encoding
+  /// Sub-problems solved through the Section-3.2 MILP encoding. Always 0:
+  /// every unit goes to exact_solver.h, and the MILP serves only as the
+  /// test oracle and the Figure-8 monolithic inset. Kept for readers of
+  /// the solve statistics that still report it.
+  size_t milp_solved = 0;
   size_t exact_solved = 0;  ///< sub-problems through exact_solver.h
   /// Branch & bound nodes across sub-problems (shortest-path searches for
   /// the 1:1 matching engine).

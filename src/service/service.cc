@@ -843,11 +843,15 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   // (injected fault, retried attempt)? Fed for pipeline runs only —
   // stale-handle rejections say nothing about service pressure.
   if (ran_pipeline) NoteRunTransient(transient_seen);
-  // Terminal-by-own-token runs share nothing downstream; everything
-  // else — including deterministic failures, which identical requests
-  // would reproduce identically — fans out to coalesced followers.
+  // Terminal-by-own-token runs share nothing downstream, and neither do
+  // degraded answers: the coalescing key leaves the deadline out, and a
+  // budget-degraded result depends on it (a follower without one would
+  // have run exact). Everything else — including deterministic failures,
+  // which identical requests would reproduce identically — fans out to
+  // coalesced followers.
   bool interrupted = ticket_fired && (code == StatusCode::kCancelled ||
                                       code == StatusCode::kDeadlineExceeded);
+  bool degraded = outcome.ok() && outcome.value().degraded();
   if (code == StatusCode::kCancelled && ticket_fired) {
     counters_->cancelled.fetch_add(1);
     if (ran_pipeline) RecordRunSeconds(ticket->admission_key_, run_s);
@@ -859,7 +863,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
     // Solver split (completed == exact + degraded): OK results marked
     // degraded() came from the greedy fallback; everything else —
     // including failed completions — counts as the exact path.
-    if (outcome.ok() && outcome.value().degraded()) {
+    if (degraded) {
       counters_->degraded.fetch_add(1);
     } else {
       counters_->exact.fetch_add(1);
@@ -878,7 +882,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
     }
   }
   if (!ticket->coalesce_key_.empty()) {
-    bool share = ran_pipeline && !interrupted;
+    bool share = ran_pipeline && !interrupted && !degraded;
     // Fan out before completing the leader (the shared outcome is moved
     // into the leader's ticket below); followers copy the Result shell,
     // not the artifacts — PipelineResult shares its blocks by pointer.
@@ -938,10 +942,10 @@ void Explain3DService::ResolveOrPromoteFollowers(const TicketPtr& leader) {
     followers = std::move(it->second.followers);
     coalesce_groups_.erase(it);
   }
-  // The leader died with nothing shareable (its own cancel/deadline, or
-  // a stale handle). Fired followers resolve their own status; the
-  // oldest live one becomes a fresh leader, re-enqueued into its band
-  // with the rest carried over as its followers.
+  // The leader ended with nothing shareable (its own cancel/deadline, a
+  // stale handle, or a degraded answer). Fired followers resolve their
+  // own status; the oldest live one becomes a fresh leader, re-enqueued
+  // into its band with the rest carried over as its followers.
   TicketPtr promoted;
   std::vector<TicketPtr> rest;
   for (const TicketPtr& f : followers) {

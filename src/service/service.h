@@ -468,11 +468,11 @@ struct ServiceOptions {
   /// follower's own deadline/cancel resolves just that follower, and a
   /// leader terminated by ITS deadline/cancel (or a stale handle)
   /// promotes the oldest live follower to a fresh leader instead of
-  /// failing the group. Requests with a calibration_oracle never
-  /// coalesce (a closure has no comparable identity). One caveat: a
-  /// follower shares the leader's DEGRADED result when budgets
-  /// interrupt the shared run — acceptable for the anytime contract,
-  /// set false where that matters.
+  /// failing the group. A leader's DEGRADED result is never shared
+  /// either — its deadline, which the key leaves out, shaped it — so
+  /// its followers are promoted the same way. Requests with a
+  /// calibration_oracle never coalesce (a closure has no comparable
+  /// identity).
   bool enable_coalescing = true;
   /// Destruction policy for IN-FLIGHT requests. false (default):
   /// running pipelines drain to completion — their real results arrive,
@@ -691,9 +691,10 @@ class Explain3DService {
   void FanOutShared(const TicketPtr& leader,
                     const Result<PipelineResult>& outcome);
   /// Leader terminated with nothing shareable (its own cancel/deadline,
-  /// or a stale handle): resolve fired followers, promote the oldest
-  /// live one to a fresh leader (re-enqueued into its band), and carry
-  /// the rest over as its followers.
+  /// a stale handle, or a degraded answer that its deadline shaped):
+  /// resolve fired followers, promote the oldest live one to a fresh
+  /// leader (re-enqueued into its band), and carry the rest over as its
+  /// followers.
   void ResolveOrPromoteFollowers(const TicketPtr& leader);
   /// Completes one follower whose OWN token fired (`fired` is the
   /// token's status) with the matching terminal status, if it still

@@ -546,13 +546,12 @@ std::vector<uint8_t> EncodeIncumbents(
     for (const UnitIncumbent& u : inc.units) {
       w.PutU64(u.fingerprint);
       w.PutDouble(u.objective);
-      w.PutU8(u.via_assignment ? 1 : 0);
     }
   }
   std::vector<uint8_t> payload = w.Take();
   std::vector<uint8_t> buf(8 + 4 + 8 + payload.size(), 0);
   std::memcpy(buf.data(), kIncMagic, 8);
-  uint32_t version = kSnapshotVersion;
+  uint32_t version = kIncumbentVersion;
   std::memcpy(buf.data() + 8, &version, 4);
   uint64_t checksum = Checksum64(payload.data(), payload.size());
   std::memcpy(buf.data() + 12, &checksum, 8);
@@ -572,7 +571,7 @@ DecodeIncumbents(const uint8_t* data, size_t size) {
   uint64_t checksum = 0;
   std::memcpy(&version, data + 8, 4);
   std::memcpy(&checksum, data + 12, 8);
-  if (version == 0 || version > kSnapshotVersion) {
+  if (version == 0 || version > kIncumbentVersion) {
     return Corrupt("incumbent file unsupported version");
   }
   if (Checksum64(data + 20, size - 20) != checksum) {
@@ -592,14 +591,16 @@ DecodeIncumbents(const uint8_t* data, size_t size) {
     E3D_RETURN_IF_ERROR(r.ReadU8(&complete));
     inc.complete = complete != 0;
     size_t nunits = 0;
-    E3D_RETURN_IF_ERROR(r.ReadCount(17, &nunits));
+    E3D_RETURN_IF_ERROR(r.ReadCount(version == 1 ? 17 : 16, &nunits));
     inc.units.resize(nunits);
     for (size_t u = 0; u < nunits; ++u) {
       E3D_RETURN_IF_ERROR(r.ReadU64(&inc.units[u].fingerprint));
       E3D_RETURN_IF_ERROR(r.ReadDouble(&inc.units[u].objective));
-      uint8_t via = 0;
-      E3D_RETURN_IF_ERROR(r.ReadU8(&via));
-      inc.units[u].via_assignment = via != 0;
+      if (version == 1) {
+        // v1 recorded which engine decoded the unit; nothing reads it now.
+        uint8_t decode_engine = 0;
+        E3D_RETURN_IF_ERROR(r.ReadU8(&decode_engine));
+      }
     }
     out.emplace_back(std::move(key), std::move(inc));
   }

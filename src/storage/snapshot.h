@@ -51,6 +51,10 @@ namespace storage {
 /// Current snapshot format version (rejected when newer than the build).
 inline constexpr uint32_t kSnapshotVersion = 1;
 
+/// Current incumbent file version. v2 dropped v1's per-unit decode-engine
+/// byte; v1 files still decode (the byte is read and discarded).
+inline constexpr uint32_t kIncumbentVersion = 2;
+
 /// Serializes one artifacts block (with its cache key) to bytes in the
 /// format above. The block must be complete (i1/i2 may be null only if
 /// built without interning — flags record this).
@@ -80,7 +84,9 @@ Result<std::vector<std::pair<uint32_t, uint64_t>>> ListSegments(
     const uint8_t* data, size_t size);
 
 /// Serializes the incumbent store: a sequence of (key, SolverIncumbents)
-/// records behind a magic + checksum header.
+/// records behind a magic + version + checksum header. Record layout
+/// (v2): key string, objective f64, complete u8, unit count u32, then per
+/// unit fingerprint u64 and objective f64.
 std::vector<uint8_t> EncodeIncumbents(
     const std::vector<std::pair<std::string, SolverIncumbents>>& entries);
 

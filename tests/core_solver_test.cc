@@ -1,17 +1,24 @@
 // Stage-2 solver tests built around the paper's running example
-// (Figures 1 and 3) plus randomized cross-checks between the two exact
-// engines (Section-3.2 MILP encoding vs assignment branch & bound).
+// (Figures 1 and 3) plus cross-checks between the Section-3.2 MILP
+// encoding (the test oracle) and the exact engines the solver runs, on
+// random instances and on the units stage 2 produces from synthetic
+// fixtures.
 
 #include "core/solver.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
 
 #include "common/rng.h"
 #include "core/exact_solver.h"
 #include "core/milp_encoder.h"
 #include "core/partitioning.h"
+#include "core/pipeline.h"
+#include "datagen/synthetic.h"
+#include "eval/gold.h"
 #include "milp/branch_and_bound.h"
 
 namespace explain3d {
@@ -265,6 +272,195 @@ TEST_P(EngineAgreement, MilpAndAssignmentBnbMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreement,
                          ::testing::Range(uint64_t{100}, uint64_t{160}));
+
+// The same cross-check on the units stage 2 actually solves: a seeded
+// synthetic fixture through stage 1, Section-4 partitioning and the
+// component split, under ≡ (the 1:1 matching engine) and ⊑ (the
+// assignment branch & bound). Every unit the solver used to hand to the
+// MILP (estimate ≤ 250 constraints) must reach the same optimum through
+// both engines, and both decoded sets must re-score to it.
+
+struct PipelineUnits {
+  PipelineResult stage1;
+  AttributeMatch attr;
+  std::vector<SubProblem> units;
+};
+
+// Connected components of one part (match ids grouped by their T1 end).
+std::vector<SubProblem> Components(const SubProblem& part,
+                                   const TupleMapping& mapping, size_t n1,
+                                   size_t n2) {
+  std::vector<size_t> parent(n1 + n2);
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  std::function<size_t(size_t)> find = [&](size_t x) {
+    return parent[x] == x ? x : parent[x] = find(parent[x]);
+  };
+  for (size_t mid : part.match_ids) {
+    parent[find(mapping[mid].t1)] = find(n1 + mapping[mid].t2);
+  }
+  std::map<size_t, SubProblem> by_root;
+  for (size_t g : part.t1_ids) by_root[find(g)].t1_ids.push_back(g);
+  for (size_t g : part.t2_ids) by_root[find(n1 + g)].t2_ids.push_back(g);
+  for (size_t mid : part.match_ids) {
+    by_root[find(mapping[mid].t1)].match_ids.push_back(mid);
+  }
+  std::vector<SubProblem> out;
+  for (auto& [root, unit] : by_root) out.push_back(std::move(unit));
+  return out;
+}
+
+PipelineUnits MakePipelineUnits(uint64_t seed, size_t vocabulary,
+                                SemanticRelation rel, size_t batch_size) {
+  SyntheticOptions gen;
+  gen.n = 200;
+  gen.d = 0.25;
+  gen.v = vocabulary;
+  gen.seed = seed;
+  SyntheticDataset data = GenerateSynthetic(gen).value();
+  PipelineInput input;
+  input.db1 = &data.db1;
+  input.db2 = &data.db2;
+  input.sql1 = data.sql1;
+  input.sql2 = data.sql2;
+  input.attr_matches = {AttributeMatch::Single("match_attr", "match_attr", rel)};
+  input.mapping_options.min_probability = 1e-4;
+  input.calibration_oracle =
+      MakeRowEntityOracle(data.row_entities1, data.row_entities2);
+  Explain3DConfig config;
+  config.num_threads = 1;
+  config.batch_size = batch_size;
+  Result<PipelineResult> run = RunExplain3D(input, config);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  PipelineUnits out{std::move(run).value(), input.attr_matches.front(), {}};
+  const TupleMapping& mapping = out.stage1.initial_mapping();
+  SmartPartitionStats stats;
+  std::vector<SubProblem> parts =
+      SmartPartition(out.stage1.t1().size(), out.stage1.t2().size(), mapping,
+                     config, &stats)
+          .value();
+  for (const SubProblem& part : parts) {
+    for (SubProblem& unit : Components(part, mapping, out.stage1.t1().size(),
+                                       out.stage1.t2().size())) {
+      out.units.push_back(std::move(unit));
+    }
+  }
+  return out;
+}
+
+// Eq. (6) restricted to one unit: the unit's tuples and matches as a
+// standalone instance, scored by the full-problem scorer.
+double ScoreOnUnit(const CanonicalRelation& t1, const CanonicalRelation& t2,
+                   const TupleMapping& mapping, const SubProblem& unit,
+                   const ProbabilityModel& prob, const ExplanationSet& e) {
+  CanonicalRelation u1, u2;
+  u1.key_attrs = t1.key_attrs;
+  u1.agg = t1.agg;
+  u2.key_attrs = t2.key_attrs;
+  u2.agg = t2.agg;
+  std::map<size_t, size_t> local1, local2;
+  for (size_t g : unit.t1_ids) {
+    local1[g] = u1.tuples.size();
+    u1.tuples.push_back(t1.tuples[g]);
+  }
+  for (size_t g : unit.t2_ids) {
+    local2[g] = u2.tuples.size();
+    u2.tuples.push_back(t2.tuples[g]);
+  }
+  TupleMapping um;
+  for (size_t mid : unit.match_ids) {
+    um.emplace_back(local1.at(mapping[mid].t1), local2.at(mapping[mid].t2),
+                    mapping[mid].p);
+  }
+  ExplanationSet le;
+  for (const ProvExplanation& d : e.delta) {
+    le.delta.push_back(
+        {d.side, (d.side == Side::kLeft ? local1 : local2).at(d.tuple)});
+  }
+  for (ValueExplanation v : e.value_changes) {
+    v.tuple = (v.side == Side::kLeft ? local1 : local2).at(v.tuple);
+    le.value_changes.push_back(v);
+  }
+  for (const TupleMatch& m : e.evidence) {
+    le.evidence.emplace_back(local1.at(m.t1), local2.at(m.t2), m.p);
+  }
+  return prob.Score(u1, u2, um, le);
+}
+
+// A smaller vocabulary means more candidate matches per tuple: v=2000
+// yields dozens of small units per fixture, v=600 fewer, denser ones up
+// to the 250-constraint edge.
+struct UnitFixture {
+  uint64_t seed;
+  size_t vocabulary;
+  SemanticRelation rel;
+  size_t batch_size;
+};
+
+void PrintTo(const UnitFixture& fx, std::ostream* os) {
+  *os << "seed " << fx.seed << ", v=" << fx.vocabulary << ", "
+      << (fx.rel == SemanticRelation::kEquivalent ? "equivalent"
+                                                  : "less-general")
+      << ", batch " << fx.batch_size;
+}
+
+class PipelineUnitEngineAgreement
+    : public ::testing::TestWithParam<UnitFixture> {};
+
+TEST_P(PipelineUnitEngineAgreement, MilpAndExactEnginesMatchOnFormerMilpUnits) {
+  const UnitFixture fx = GetParam();
+  PipelineUnits pu =
+      MakePipelineUnits(fx.seed, fx.vocabulary, fx.rel, fx.batch_size);
+  ASSERT_FALSE(pu.units.empty());
+  const CanonicalRelation& t1 = pu.stage1.t1();
+  const CanonicalRelation& t2 = pu.stage1.t2();
+  const TupleMapping& mapping = pu.stage1.initial_mapping();
+  ProbabilityModel prob((Explain3DConfig()));
+  MilpEncoder encoder(t1, t2, mapping, pu.attr, prob);
+
+  size_t checked = 0;
+  for (size_t u = 0; u < pu.units.size(); ++u) {
+    const SubProblem& unit = pu.units[u];
+    if (unit.match_ids.empty()) continue;
+    if (EstimateMilpConstraints(unit, encoder.side1_capped(),
+                                encoder.side2_capped()) > 250) {
+      continue;
+    }
+    SCOPED_TRACE("unit " + std::to_string(u) + " (" +
+                 std::to_string(unit.t1_ids.size()) + "x" +
+                 std::to_string(unit.t2_ids.size()) + ", " +
+                 std::to_string(unit.match_ids.size()) + " matches)");
+    EncodedMilp enc = encoder.Encode(unit);
+    milp::Solution sol = milp::MilpSolver(enc.model).Solve();
+    ASSERT_EQ(sol.status, milp::SolveStatus::kOptimal);
+    Result<ExactSolveResult> exact =
+        SolveComponentExact(t1, t2, mapping, pu.attr, prob, unit);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    ASSERT_TRUE(exact.value().proven_optimal);
+    const double optimum = exact.value().objective;
+    EXPECT_NEAR(sol.objective, optimum, 1e-9);
+    ExplanationSet from_milp = encoder.Decode(unit, enc, sol.values);
+    EXPECT_NEAR(ScoreOnUnit(t1, t2, mapping, unit, prob, from_milp), optimum,
+                1e-9);
+    EXPECT_NEAR(ScoreOnUnit(t1, t2, mapping, unit, prob,
+                            exact.value().explanations),
+                optimum, 1e-9);
+    ++checked;
+  }
+  // The fixture must exercise the former MILP range, not skip past it.
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SyntheticFixtures, PipelineUnitEngineAgreement,
+    ::testing::Values(
+        UnitFixture{1, 2000, SemanticRelation::kEquivalent, 20},
+        UnitFixture{1, 2000, SemanticRelation::kEquivalent, 60},
+        UnitFixture{2, 2000, SemanticRelation::kEquivalent, 60},
+        UnitFixture{1, 600, SemanticRelation::kEquivalent, 20},
+        UnitFixture{1, 2000, SemanticRelation::kLessGeneral, 20},
+        UnitFixture{1, 2000, SemanticRelation::kLessGeneral, 60},
+        UnitFixture{2, 2000, SemanticRelation::kLessGeneral, 60},
+        UnitFixture{1, 600, SemanticRelation::kLessGeneral, 20}));
 
 // ---------------------------------------------------------------------------
 // Warm starts (ROADMAP 2): seeding the solver with a prior run's

@@ -161,7 +161,6 @@ Explain3DConfig HardSolveConfig() {
   config.num_threads = 1;
   config.batch_size = 0;
   config.decompose_components = false;
-  config.milp_max_constraints = 0;
   config.exact_max_nodes = size_t{1} << 60;
   return config;
 }
@@ -337,7 +336,7 @@ TEST(DegradationTest, InjectedStage1FaultFailsTransientlyAndNeverCaches) {
   EXPECT_EQ(context.size(), 1u);
 }
 
-TEST(DegradationTest, InjectedMilpFaultSurfacesAsUnavailable) {
+TEST(DegradationTest, InjectedUnitSolveFaultSurfacesAsUnavailable) {
   if (!kFaultInjectionEnabled) {
     GTEST_SKIP() << "fault probes compiled out";
   }
@@ -345,15 +344,14 @@ TEST(DegradationTest, InjectedMilpFaultSurfacesAsUnavailable) {
   PipelineInput input = BasicInput(data);
   Explain3DConfig config;
   config.num_threads = 1;
-  // Force the MILP branch (constraint cap high enough for every unit)
-  // and kill its first node expansion: kInterrupted with a live token
-  // must map to the transient kUnavailable, not to a cancel the user
-  // never issued.
-  config.milp_max_constraints = size_t{1} << 40;
-  FaultGuard guard("milp.node=once0");
+  // Kill the first stage-2 unit solve mid-pipeline: a failure with a
+  // live token must surface as the transient kUnavailable, not as a
+  // cancel the user never issued.
+  FaultGuard guard("solve.unit=once0");
   Result<PipelineResult> r = RunExplain3D(input, config);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(FaultInjector::Instance().SiteStats()[0].fires, 1u);
 }
 
 // --- service retry / health / watchdog --------------------------------------
@@ -605,6 +603,70 @@ TEST(ServiceResilienceTest, OverloadFlippedLeaderNeverServesStrictFollower) {
   ASSERT_NE(fr, nullptr);
   EXPECT_FALSE(fr->ok() && fr->value().degraded());
   EXPECT_EQ(fr->status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(service.Stats().coalesced_hits, 0u);
+}
+
+// A budgeted (kFallbackGreedy) result depends on the deadline, which the
+// coalescing key leaves out. A leader whose tight deadline degraded it
+// must not hand that answer to an identical follower without a deadline:
+// the follower gets exactly what its own solo run returns.
+TEST(ServiceResilienceTest, DeadlineDegradedLeaderNeverServesNoDeadlineFollower) {
+  SyntheticDataset data = DegradeTestData(65, 70);
+  // One monolithic one-sided unit under the default node cap: a finite,
+  // deterministic exact solve.
+  auto request = [&](DatabaseHandle d1, DatabaseHandle d2) {
+    ExplanationRequest req = ServiceRequest(data, d1, d2);
+    req.attr_matches = OneSidedMatch();
+    req.mapping_options.use_blocking = false;
+    req.mapping_options.min_probability = 1e-12;
+    req.config.batch_size = 0;
+    req.config.decompose_components = false;
+    req.config.degradation_mode = DegradationMode::kFallbackGreedy;
+    return req;
+  };
+
+  // The follower's own solo run, outside any service.
+  PipelineInput solo_input = HardInput(data);
+  Explain3DConfig solo_config = request({}, {}).config;
+  auto solo_start = std::chrono::steady_clock::now();
+  Result<PipelineResult> solo = RunExplain3D(solo_input, solo_config);
+  double solo_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - solo_start)
+                      .count();
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+  ASSERT_FALSE(solo.value().degraded());
+  // The leader's deadline scales with this machine's solve time (~0.4 s
+  // on a 4-core container, stage 1 ~1 ms), so the exact leg is always
+  // interrupted and the fallback always has time to answer.
+  ASSERT_GT(solo_s, 0.05) << "fixture solves too fast";
+  const double leader_deadline = solo_s / 8;
+
+  ServiceOptions options;
+  options.max_concurrency = 1;
+  options.admission_control = false;
+  Explain3DService service(options);
+  DatabaseHandle h1 = service.RegisterDatabase("d1", data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("d2", data.db2);
+  ExplanationRequest leader_req = request(h1, h2);
+  leader_req.deadline_seconds = leader_deadline;
+  TicketPtr leader = service.Submit(std::move(leader_req));
+  TicketPtr follower = service.Submit(request(h1, h2));
+
+  const Result<PipelineResult>* lr = leader->WaitFor(60.0);
+  ASSERT_NE(lr, nullptr);
+  ASSERT_TRUE(lr->ok()) << lr->status().ToString();
+  ASSERT_TRUE(lr->value().degraded());
+
+  const Result<PipelineResult>* fr = follower->WaitFor(60.0);
+  ASSERT_NE(fr, nullptr);
+  ASSERT_TRUE(fr->ok()) << fr->status().ToString();
+  EXPECT_FALSE(fr->value().degraded());
+  const ExplanationSet& got = fr->value().core().explanations;
+  const ExplanationSet& want = solo.value().core().explanations;
+  EXPECT_EQ(got.log_probability, want.log_probability);
+  EXPECT_TRUE(got.delta == want.delta);
+  EXPECT_TRUE(got.value_changes == want.value_changes);
+  EXPECT_TRUE(got.evidence == want.evidence);
   EXPECT_EQ(service.Stats().coalesced_hits, 0u);
 }
 

@@ -333,12 +333,11 @@ TEST(OneToOneSolverTest, PreFiredCancelReturnsTheTokenStatusAndRootBound) {
   EXPECT_EQ(bound, root.value());
 }
 
-// Through the full solver: a one-to-one problem routed past the MILP is
-// proven optimal and scores exactly the engine's objective.
+// Through the full solver: a one-to-one problem is proven optimal and
+// scores exactly the engine's objective.
 TEST(OneToOneSolverTest, SolverReportsOneToOneUnitsProvenOptimal) {
   Unit u = MakeUnit(11, /*max_side=*/8, /*edge_cap=*/20);
   Explain3DConfig config;
-  config.milp_max_constraints = 0;
   config.exact_max_nodes = 1;
   Explain3DInput input{&u.t1, &u.t2, u.attr, u.mapping};
   Result<Explain3DResult> r = Explain3DSolver(config).Solve(input);

@@ -134,7 +134,6 @@ Explain3DConfig HardSolveConfig() {
   config.num_threads = 1;
   config.batch_size = 0;
   config.decompose_components = false;
-  config.milp_max_constraints = 0;
   config.exact_max_nodes = size_t{1} << 60;
   return config;
 }

@@ -569,8 +569,8 @@ TEST(ServiceStressTest, WarmStartAndPortfolioSweepStaysBitIdentical) {
 }
 
 // --- fault-injection sweep --------------------------------------------------
-// The same service hammered while the injector randomly kills stage-1
-// builds, cache inserts, MILP nodes, worker claims, and cache
+// The same service hammered while the injector kills stage-1 builds,
+// cache inserts, stage-2 unit solves, worker claims, and cache
 // retirements. Requests carry a 2-attempt retry policy, so most injected
 // transients heal invisibly; the ones that don't must fail with exactly
 // kUnavailable. Every surviving result is still bit-identical to the
@@ -586,7 +586,7 @@ void RunFaultRound(uint64_t seed, size_t ops_per_thread,
   std::string spec = "seed=" + std::to_string(seed) +
                      ";stage1.block=p0.02;stage1.intern=p0.02"
                      ";cache.insert=p0.05;service.claim=p0.05"
-                     ";milp.node=p0.001;registry.retire=p0.2";
+                     ";solve.unit=n4;registry.retire=p0.2";
   Status armed = FaultInjector::Instance().Configure(spec);
   ASSERT_TRUE(armed.ok()) << armed.ToString();
   {
@@ -677,6 +677,13 @@ void RunFaultRound(uint64_t seed, size_t ops_per_thread,
 
     ServiceStats stats = service.Stats();
     *fires_out += stats.fault_fires;
+    // The mid-solve transient must actually fire every round (a round
+    // solves at least 5 units across its requests; n4 fires every 4th).
+    uint64_t unit_fires = 0;
+    for (const FaultSiteStats& site : FaultInjector::Instance().SiteStats()) {
+      if (site.site == "solve.unit") unit_fires = site.fires;
+    }
+    EXPECT_GE(unit_fires, 1u) << "fault seed " << seed;
     EXPECT_EQ(stats.submitted, total_tracked) << "fault seed " << seed;
     // Nothing was cancelled, deadlined, or rejected in this round — every
     // ticket ran to a completion, healthy or not.

@@ -117,8 +117,8 @@ CalibrationOracle TaggingOracle(std::mutex* mu, std::vector<int>* order,
 // A request whose uninterrupted stage-2 solve takes far longer than any
 // test budget: one monolithic sub-problem (partitioning and component
 // decomposition off), dense uncalibrated candidates (blocking off, tiny
-// probability floor), the assignment branch & bound forced
-// (milp_max_constraints = 0) with an astronomically high node limit.
+// probability floor), and the assignment branch & bound given an
+// astronomically high node limit.
 // The match is one-sided (⊑, many-to-one: the NP-hard shape of Thm 3.5);
 // under ≡ the unit would be a polynomial matching, solved in
 // milliseconds. Only cooperative cancellation or a deadline can end it
@@ -134,7 +134,6 @@ ExplanationRequest MakeHardSolveRequest(const SyntheticDataset& data,
   req.mapping_options.min_probability = 1e-12;
   req.config.batch_size = 0;
   req.config.decompose_components = false;
-  req.config.milp_max_constraints = 0;
   req.config.exact_max_nodes = size_t{1} << 60;
   return req;
 }
@@ -1072,13 +1071,14 @@ TEST(ServiceCoalesceTest, FollowerAttachesWhileLeaderRuns) {
   DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
 
-  // An oracle-free hard solve in portfolio mode under a deadline: it
-  // runs the full 2 s and then COMPLETES with the greedy leg's answer
-  // (the PortfolioReturnsGreedyWhenBudgetFires shape) — a wide-open
-  // window for a second submit to attach while the leader is mid-run.
+  // An oracle-free hard solve in portfolio mode, capped at the default
+  // node limit: a finite, deterministic search of a few hundred
+  // milliseconds that COMPLETES with a shareable (non-degraded) answer —
+  // a wide-open window for a second submit to attach while the leader
+  // is mid-run.
   ExplanationRequest leader_req = MakeHardSolveRequest(data, h1, h2);
   leader_req.config.portfolio = true;
-  leader_req.deadline_seconds = 2.0;
+  leader_req.config.exact_max_nodes = Explain3DConfig().exact_max_nodes;
   TicketPtr leader = service.Submit(leader_req);
   while (service.Stats().running == 0 && leader->TryGet() == nullptr) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1087,9 +1087,8 @@ TEST(ServiceCoalesceTest, FollowerAttachesWhileLeaderRuns) {
 
   // Identical computation (the deadline is not part of the result key,
   // only result-affecting inputs are): attaches to the RUNNING leader.
-  ExplanationRequest follower_req = MakeHardSolveRequest(data, h1, h2);
-  follower_req.config.portfolio = true;
-  follower_req.deadline_seconds = 30.0;  // its own, much later
+  ExplanationRequest follower_req = leader_req;
+  follower_req.deadline_seconds = 30.0;  // its own, far away
   TicketPtr follower = service.Submit(follower_req);
   EXPECT_EQ(service.Stats().queue_depth, 0u);  // no slot: it's a follower
 
@@ -1099,16 +1098,19 @@ TEST(ServiceCoalesceTest, FollowerAttachesWhileLeaderRuns) {
   ASSERT_NE(fr, nullptr);
   ASSERT_TRUE(lr->ok()) << lr->status().ToString();
   ASSERT_TRUE(fr->ok()) << fr->status().ToString();
-  // The follower shares the leader's (degraded) result zero-copy — the
-  // documented coalescing caveat, asserted here as the contract.
-  EXPECT_TRUE(lr->value().degraded());
-  EXPECT_TRUE(fr->value().degraded());
+  // The follower shares the leader's result zero-copy. (A degraded
+  // leader result is never shared: DeadlineDegradedLeaderNeverServes-
+  // NoDeadlineFollower in tests/degradation_test.cc.)
+  EXPECT_FALSE(lr->value().degraded());
+  EXPECT_FALSE(fr->value().degraded());
   EXPECT_EQ(fr->value().artifacts().get(), lr->value().artifacts().get());
+  EXPECT_EQ(fr->value().core().explanations.log_probability,
+            lr->value().core().explanations.log_probability);
 
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.coalesced_hits, 1u);
   EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.completed_degraded, 2u);
+  EXPECT_EQ(stats.completed_degraded, 0u);
 }
 
 TEST(ServiceCoalesceTest, CancelledQueuedLeaderPromotesFollower) {

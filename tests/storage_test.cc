@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "eval/gold.h"
 #include "service/service.h"
 #include "storage/artifact_store.h"
+#include "storage/bytes.h"
 #include "storage/checksum.h"
 #include "storage/content_hash.h"
 #include "storage/io.h"
@@ -310,28 +312,68 @@ TEST(SnapshotCorruptionTest, BitFlipsNeverYieldADifferentBlock) {
   }
 }
 
-TEST(IncumbentCodecTest, RoundTripAndCorruption) {
+// An incumbent file exactly as format v1 wrote it: the v2 layout plus a
+// per-unit decode-engine byte after each unit's objective.
+std::vector<uint8_t> VersionOneIncumbentFile(
+    const std::vector<std::pair<std::string, SolverIncumbents>>& entries) {
+  storage::ByteWriter w;
+  w.PutU32(static_cast<uint32_t>(entries.size()));
+  for (const auto& [key, inc] : entries) {
+    w.PutString(key);
+    w.PutDouble(inc.objective);
+    w.PutU8(inc.complete ? 1 : 0);
+    w.PutU32(static_cast<uint32_t>(inc.units.size()));
+    for (const UnitIncumbent& u : inc.units) {
+      w.PutU64(u.fingerprint);
+      w.PutDouble(u.objective);
+      w.PutU8(1);
+    }
+  }
+  std::vector<uint8_t> payload = w.Take();
+  std::vector<uint8_t> buf(20 + payload.size(), 0);
+  std::memcpy(buf.data(), "E3DINCB1", 8);
+  const uint32_t version = 1;
+  std::memcpy(buf.data() + 8, &version, 4);
+  const uint64_t checksum = Checksum64(payload.data(), payload.size());
+  std::memcpy(buf.data() + 12, &checksum, 8);
+  std::memcpy(buf.data() + 20, payload.data(), payload.size());
+  return buf;
+}
+
+std::vector<std::pair<std::string, SolverIncumbents>> SampleIncumbents() {
   std::vector<std::pair<std::string, SolverIncumbents>> entries(2);
   entries[0].first = "key-a";
   entries[0].second.objective = -3.25;
   entries[0].second.complete = true;
-  entries[0].second.units.push_back({0x1234567890abcdefULL, -1.5, true});
-  entries[0].second.units.push_back({42, -1.75, false});
+  entries[0].second.units.push_back({0x1234567890abcdefULL, -1.5});
+  entries[0].second.units.push_back({42, -1.75});
   entries[1].first = "key-b";
   entries[1].second.objective = -0.5;
   entries[1].second.complete = true;
+  return entries;
+}
 
-  std::vector<uint8_t> bytes = storage::EncodeIncumbents(entries);
+void ExpectSampleIncumbents(
+    const std::vector<std::pair<std::string, SolverIncumbents>>& got) {
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].first, "key-a");
+  EXPECT_EQ(got[0].second.objective, -3.25);
+  EXPECT_TRUE(got[0].second.complete);
+  ASSERT_EQ(got[0].second.units.size(), 2u);
+  EXPECT_EQ(got[0].second.units[0].fingerprint, 0x1234567890abcdefULL);
+  EXPECT_EQ(got[0].second.units[0].objective, -1.5);
+  EXPECT_EQ(got[0].second.units[1].fingerprint, 42u);
+  EXPECT_EQ(got[0].second.units[1].objective, -1.75);
+  EXPECT_EQ(got[1].first, "key-b");
+  EXPECT_EQ(got[1].second.objective, -0.5);
+  EXPECT_TRUE(got[1].second.units.empty());
+}
+
+TEST(IncumbentCodecTest, RoundTripAndCorruption) {
+  std::vector<uint8_t> bytes = storage::EncodeIncumbents(SampleIncumbents());
   auto decoded = storage::DecodeIncumbents(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().size(), 2u);
-  EXPECT_EQ(decoded.value()[0].first, "key-a");
-  EXPECT_EQ(decoded.value()[0].second.objective, -3.25);
-  ASSERT_EQ(decoded.value()[0].second.units.size(), 2u);
-  EXPECT_EQ(decoded.value()[0].second.units[0].fingerprint,
-            0x1234567890abcdefULL);
-  EXPECT_EQ(decoded.value()[0].second.units[1].objective, -1.75);
-  EXPECT_EQ(decoded.value()[1].second.objective, -0.5);
+  ExpectSampleIncumbents(decoded.value());
 
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
     std::vector<uint8_t> flipped = bytes;
@@ -343,6 +385,36 @@ TEST(IncumbentCodecTest, RoundTripAndCorruption) {
     EXPECT_FALSE(storage::DecodeIncumbents(bytes.data(), cut).ok())
         << "cut=" << cut;
   }
+}
+
+TEST(IncumbentCodecTest, VersionOneFilesStillDecode) {
+  std::vector<uint8_t> v1 = VersionOneIncumbentFile(SampleIncumbents());
+  auto decoded = storage::DecodeIncumbents(v1.data(), v1.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSampleIncumbents(decoded.value());
+
+  // The current writer emits v2: one byte per unit shorter than v1.
+  std::vector<uint8_t> v2 = storage::EncodeIncumbents(SampleIncumbents());
+  uint32_t version = 0;
+  std::memcpy(&version, v2.data() + 8, 4);
+  EXPECT_EQ(version, storage::kIncumbentVersion);
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(v1.size(), v2.size() + 2);
+
+  // The header's version picks the layout: a v1 body under a v2 header
+  // (the checksum covers the body only) misparses and is rejected.
+  std::vector<uint8_t> relabeled = v1;
+  std::memcpy(relabeled.data() + 8, &version, 4);
+  auto bad = storage::DecodeIncumbents(relabeled.data(), relabeled.size());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+  // A version from the future is refused.
+  std::vector<uint8_t> future = v2;
+  const uint32_t v3 = 3;
+  std::memcpy(future.data() + 8, &v3, 4);
+  auto refused = storage::DecodeIncumbents(future.data(), future.size());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
 }
 
 // --- artifact store ---------------------------------------------------------
@@ -371,7 +443,7 @@ TEST(ArtifactStoreTest, CommitIsTheAtomicPublishPoint) {
     SolverIncumbents inc;
     inc.objective = -1.0;
     inc.complete = true;
-    inc.units.push_back({7, -1.0, false});
+    inc.units.push_back({7, -1.0});
     store.value().PutIncumbents("inc-key", inc);
     ASSERT_TRUE(store.value().Commit().ok());
     EXPECT_EQ(store.value().commit_seq(), 1u);
@@ -393,6 +465,77 @@ TEST(ArtifactStoreTest, CommitIsTheAtomicPublishPoint) {
   EXPECT_EQ(incumbents.value()[0].second.units.size(), 1u);
   // Nothing uncommitted: GC finds no orphans.
   EXPECT_EQ(reopened.value().GarbageCollect().value(), 0u);
+}
+
+// A store committed before the v2 incumbent format (v1 incumbent file)
+// must still open: its stage-1 snapshots restore unchanged, and its
+// incumbent records load (their keys simply never match a current
+// Stage2ConfigTag).
+TEST(ArtifactStoreTest, OpensStoreWithVersionOneIncumbentFile) {
+  SyntheticDataset data = MakeData(33);
+  auto [key, art] = BuildArtifacts(data);
+  const std::string dir = FreshDir("store-inc-v1");
+  {
+    Result<ArtifactStore> store = ArtifactStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value().PutArtifacts(key, *art).ok());
+    for (const auto& [k, inc] : SampleIncumbents()) {
+      store.value().PutIncumbents(k, inc);
+    }
+    ASSERT_TRUE(store.value().Commit().ok());
+  }
+  // Swap the committed incumbent file for its v1 encoding, and patch the
+  // manifest's (size, checksum) record of it plus the manifest's own
+  // header checksum, as a v1 writer would have committed it.
+  const std::string inc_path = storage::JoinPath(dir, "incumbents.e3di");
+  const std::string manifest_path = storage::JoinPath(dir, "MANIFEST");
+  std::vector<uint8_t> v2 = storage::ReadFileBytes(inc_path).value();
+  std::vector<uint8_t> v1 = VersionOneIncumbentFile(SampleIncumbents());
+  auto size_and_sum = [](const std::vector<uint8_t>& file) {
+    std::vector<uint8_t> rec(16);
+    const uint64_t size = file.size();
+    const uint64_t sum = Checksum64(file.data(), file.size());
+    std::memcpy(rec.data(), &size, 8);
+    std::memcpy(rec.data() + 8, &sum, 8);
+    return rec;
+  };
+  const std::vector<uint8_t> old_rec = size_and_sum(v2);
+  const std::vector<uint8_t> new_rec = size_and_sum(v1);
+  std::vector<uint8_t> manifest = storage::ReadFileBytes(manifest_path).value();
+  auto at = std::search(manifest.begin() + 20, manifest.end(),
+                        old_rec.begin(), old_rec.end());
+  ASSERT_NE(at, manifest.end());
+  std::copy(new_rec.begin(), new_rec.end(), at);
+  const uint64_t manifest_sum =
+      Checksum64(manifest.data() + 20, manifest.size() - 20);
+  std::memcpy(manifest.data() + 12, &manifest_sum, 8);
+  ASSERT_TRUE(storage::WriteFileAtomic(inc_path, v1.data(), v1.size()).ok());
+  ASSERT_TRUE(storage::WriteFileAtomic(manifest_path, manifest.data(),
+                                       manifest.size())
+                  .ok());
+
+  Result<ArtifactStore> reopened = ArtifactStore::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().VerifyAll(), Status::OK());
+  auto loaded = reopened.value().LoadAllArtifacts();
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded.value().size(), 1u);
+  EXPECT_EQ(loaded.value()[0].key, key);
+  ExpectArtifactsBitIdentical(*art, *loaded.value()[0].artifacts);
+  auto incumbents = reopened.value().LoadIncumbents();
+  ASSERT_TRUE(incumbents.ok()) << incumbents.status().ToString();
+  ExpectSampleIncumbents(incumbents.value());
+
+  // The next commit rewrites the incumbent file in the current format.
+  reopened.value().PutIncumbents("key-c", SampleIncumbents()[1].second);
+  ASSERT_TRUE(reopened.value().Commit().ok());
+  std::vector<uint8_t> rewritten = storage::ReadFileBytes(inc_path).value();
+  uint32_t version = 0;
+  std::memcpy(&version, rewritten.data() + 8, 4);
+  EXPECT_EQ(version, storage::kIncumbentVersion);
+  Result<ArtifactStore> again = ArtifactStore::Open(dir);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().LoadIncumbents().value().size(), 3u);
 }
 
 TEST(ArtifactStoreTest, VerifyAllAndLoadRejectDamage) {
@@ -466,7 +609,7 @@ TEST(CrashConsistencyTest, HundredSeedFaultSweepNeverServesTornState) {
         SolverIncumbents inc;
         inc.objective = -2.0;
         inc.complete = true;
-        inc.units.push_back({seed, -2.0, true});
+        inc.units.push_back({seed, -2.0});
         Status put = store.value().PutArtifacts(key2, *art2);
         store.value().PutIncumbents("inc", inc);
         Status commit = store.value().Commit();

@@ -13,10 +13,16 @@ src/, tests/, bench/, examples/ and tools/ for `name.md` references and
 verifies each resolves against the repo root or the source file's own
 directory.
 
+Last, checks that docs/API.md's `Explain3DConfig` table matches the
+struct in src/core/config.h: every field has a row, and every name in a
+row's first cell is a live field.
+
 Usage:  python3 tools/docs_lint.py [repo_root]
-Exit status: 0 when every link and reference resolves, 1 otherwise (one
-line per broken link: `file:line: broken link -> target`, or
-`file:line: dangling doc reference -> target`).
+Exit status: 0 when every link, reference and config row checks out, 1
+otherwise (one line per problem: `file:line: broken link -> target`,
+`file:line: dangling doc reference -> target`, `file: config field
+without an API.md row -> name`, or `file:line: API.md row names no
+config field -> name`).
 """
 
 import os
@@ -92,6 +98,73 @@ def check_source(path, root):
     return errors
 
 
+CONFIG_HEADER = os.path.join("src", "core", "config.h")
+API_DOC = os.path.join("docs", "API.md")
+# A data member declaration: type tokens, the name, an optional
+# initializer, then ';'. Methods, nested types and comments never match.
+FIELD_RE = re.compile(r"^\s*[\w:<>]+(?:\s+[\w:<>]+)*\s+(\w+)\s*(?:=[^;]*)?;")
+CODE_RE = re.compile(r"`(\w+)`")
+
+
+def config_fields(root):
+    """Data members of struct Explain3DConfig, in declaration order."""
+    fields = []
+    inside = False
+    with open(os.path.join(root, CONFIG_HEADER), encoding="utf-8") as f:
+        for line in f:
+            code = line.partition("//")[0]
+            if not inside:
+                inside = code.strip().startswith("struct Explain3DConfig")
+                continue
+            if code.strip().startswith("};"):
+                break
+            m = FIELD_RE.match(code)
+            if m:
+                fields.append(m.group(1))
+    return fields
+
+
+def config_table_rows(root):
+    """(line, names) for each row of API.md's Explain3DConfig table."""
+    rows = []
+    in_section = False
+    with open(os.path.join(root, API_DOC), encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.startswith("## "):
+                in_section = line.strip() == "## `Explain3DConfig`"
+                continue
+            if not in_section or not line.startswith("|"):
+                continue
+            first = line.split("|")[1]
+            if first.strip() in ("Field", "") or set(first.strip()) <= {"-"}:
+                continue
+            rows.append((lineno, CODE_RE.findall(first)))
+    return rows
+
+
+def check_config_table(root):
+    """Problems as printable lines; empty when the table matches."""
+    fields = config_fields(root)
+    rows = config_table_rows(root)
+    problems = []
+    if not fields:
+        problems.append(f"{CONFIG_HEADER}: struct Explain3DConfig not found")
+    if not rows:
+        problems.append(f"{API_DOC}: no Explain3DConfig table found")
+    documented = {name for _, names in rows for name in names}
+    for name in fields:
+        if name not in documented:
+            problems.append(f"{CONFIG_HEADER}: config field without an "
+                            f"API.md row -> {name}")
+    live = set(fields)
+    for lineno, names in rows:
+        for name in names:
+            if name not in live:
+                problems.append(f"{API_DOC}:{lineno}: API.md row names no "
+                                f"config field -> {name}")
+    return problems
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     broken = 0
@@ -109,9 +182,13 @@ def main():
             print(f"{os.path.relpath(path, root)}:{lineno}: "
                   f"dangling doc reference -> {target}")
             broken += 1
+    config_problems = check_config_table(root)
+    for line in config_problems:
+        print(line)
     print(f"docs-lint: {checked} markdown files, {sources} source files, "
-          f"{broken} broken links")
-    return 1 if broken else 0
+          f"{broken} broken links, {len(config_problems)} config table "
+          f"problems")
+    return 1 if broken or config_problems else 0
 
 
 if __name__ == "__main__":
